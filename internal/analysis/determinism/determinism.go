@@ -1,8 +1,9 @@
 // Package determinism flags nondeterminism sources in the packages whose
 // output must be byte-identical per seed: the sweep/flip/evset/fault
-// pipeline and every cmd/ entry point. PThammer's tables are diffed in CI against
-// golden runs, so a wall-clock read, an unseeded global rand call, or an
-// unordered map iteration is a correctness bug, not a style issue.
+// pipeline, the escalation bench, and every cmd/ entry point.
+// PThammer's tables are diffed in CI against golden runs, so a
+// wall-clock read, an unseeded global rand call, or an unordered map
+// iteration is a correctness bug, not a style issue.
 //
 // Flagged in deterministic packages (non-test files):
 //   - time.Now / time.Since / time.Until
@@ -49,6 +50,11 @@ var deterministicSuffixes = []string{
 	// GOMAXPROCS and pool sizes in CI; per-tenant randomness must come
 	// from the mixed tenant seed alone.
 	"internal/cohort",
+	// The escalation planner and driver produce every Verdict and the
+	// pthammer-flip tables; the planner's page-table index in
+	// particular must be built in region order, never by ranging its
+	// frame map.
+	"internal/bench",
 }
 
 // randConstructors are the math/rand package-level functions that build

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"sync"
 
-	"pthammer/internal/evset"
 	"pthammer/internal/fault"
 	"pthammer/internal/flip"
 	"pthammer/internal/machine"
@@ -244,14 +243,11 @@ func driveEscalation(m *machine.Machine, budget Budget, window timing.Cycles) (V
 		return finish(), nil
 	}
 	v.Phase = PhaseBuild
-	h, err := NewImplicitHammerForPair(m, plan.Pair, plan.Exclude, evset.Options{})
+	h, err := plan.buildHammer(m)
 	if err != nil {
 		v.Reason = ReasonBuildFailed
 		return finish(), nil
 	}
-	// Eviction-set construction demand-allocated more page tables; a
-	// flip landing on any of them is just as exploitable.
-	plan.ptOf = leafPTs(m)
 
 	start := m.Clock().Now()
 	flips0 := len(model.Flips())
@@ -342,9 +338,8 @@ func driveEscalation(m *machine.Machine, budget Budget, window timing.Cycles) (V
 		if v.Rebuilds < budget.MaxRebuilds && !h.Verify(m) {
 			v.Phase = PhaseRebuild
 			v.Rebuilds++
-			if h2, err := NewImplicitHammerForPair(m, plan.Pair, plan.Exclude, evset.Options{}); err == nil {
+			if h2, err := plan.buildHammer(m); err == nil {
 				h = h2
-				plan.ptOf = leafPTs(m)
 				backoff = 0
 				v.Phase = PhaseHammer
 				continue
@@ -364,12 +359,11 @@ func driveEscalation(m *machine.Machine, budget Budget, window timing.Cycles) (V
 			if err != nil {
 				break
 			}
-			h2, err := NewImplicitHammerForPair(m, p2.Pair, p2.Exclude, evset.Options{})
+			h2, err := p2.buildHammer(m)
 			if err != nil {
 				continue
 			}
 			plan, h = p2, h2
-			plan.ptOf = leafPTs(m)
 			backoff = 0
 			scannedFlips = len(model.Flips())
 			// An earlier flip may already sit in the new pair's sprayed

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -172,5 +175,64 @@ func TestResilientDeterministicPerSeed(t *testing.T) {
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// pinBudget is DefaultBudget with a 600-window ceiling: long enough
+// for most pinned runs to escalate, the pair-invalidate run's replan
+// onto the second-ranked pair included, short enough that the runs
+// hammering to the ceiling keep the test fast under -race.
+func pinBudget() Budget {
+	b := DefaultBudget()
+	b.MaxWindows = 600
+	return b
+}
+
+// verdictDigest hashes every field of a Verdict, the pointed-to
+// Result included, into 16 hex digits.
+func verdictDigest(v Verdict) string {
+	r := v.Result
+	v.Result = nil
+	s := fmt.Sprintf("%+v", v)
+	if r != nil {
+		s += fmt.Sprintf(" result=%+v", *r)
+	}
+	sum := sha256.Sum256([]byte(s))
+	return hex.EncodeToString(sum[:8])
+}
+
+// pinnedVerdicts are the class-A Verdict digests per fault.Matrix()
+// scenario for seeds 1 and 2 under pinBudget, recorded with the
+// original map-based planner. The planner's ranking decides which
+// pairs the driver hammers and replans onto, so any change to it that
+// is not behaviour-preserving shows up here.
+var pinnedVerdicts = map[string][2]string{
+	"none":             {"b388ecdcc6f1d2ff", "28da82223c72304a"},
+	"eviction-decay":   {"b388ecdcc6f1d2ff", "94d4728d5c1c8464"},
+	"threshold-drift":  {"50f31d2c9afb1f96", "da28cb5e5c7a7f5c"},
+	"trr-suppress":     {"6ab411a0f51a1c3a", "dffc807142616447"},
+	"flip-misland":     {"8fb358f74bfdf922", "0330e37136c0f05a"},
+	"pair-invalidate":  {"b388ecdcc6f1d2ff", "31a3d7aad4ff62bd"},
+	"trr-suppress-all": {"f561746e970c6e7f", "f561746e970c6e7f"},
+	"flip-misland-all": {"eaeefa9f0616839c", "0804ae448b4c9b5a"},
+}
+
+// TestResilientMatchesPinnedDigests pins escalation outcomes across
+// code changes, not just across two runs of the same code.
+func TestResilientMatchesPinnedDigests(t *testing.T) {
+	for _, sc := range fault.Matrix() {
+		want, ok := pinnedVerdicts[sc.Name]
+		if !ok {
+			t.Errorf("no pinned digests for scenario %q", sc.Name)
+		}
+		for i, seed := range []int64{1, 2} {
+			v, err := RunEscalationResilient(flip.ClassA(), seed, sc.Config, pinBudget())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := verdictDigest(v); got != want[i] {
+				t.Errorf("%s seed %d: digest %s, want %s\n%+v", sc.Name, seed, got, want[i], v)
+			}
+		}
 	}
 }

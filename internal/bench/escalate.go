@@ -86,11 +86,10 @@ type EscalationPlan struct {
 	// (possibly corrupted) tables.
 	Thrash []phys.Addr
 
-	// ptOf maps each known leaf-PT frame to the base VA of the 2 MiB
-	// region it maps; refreshed by RunEscalation after construction so
-	// it also covers tables demand-allocated while building the
-	// eviction sets.
-	ptOf map[phys.Frame]phys.Addr
+	// pts indexes every known leaf-PT frame; refreshed whenever a
+	// hammer is built for the plan, so it also covers tables
+	// demand-allocated while building the eviction sets.
+	pts ptIndex
 }
 
 // regionPages appends every page base of the 2 MiB region to out.
@@ -101,19 +100,56 @@ func regionPages(base phys.Addr, out []phys.Addr) []phys.Addr {
 	return out
 }
 
-// leafPTs maps every currently-known leaf-PT frame to its region base,
-// walking region bases below the kernel pool.
-func leafPTs(m *machine.Machine) map[phys.Frame]phys.Addr {
+// ptIndex is the attacker's map of every currently-known leaf page
+// table: a dense bitset over physical frames answers "is frame f a
+// leaf page table?" (and "how many tables in this block of frames?"
+// for the planner's jackpot count), and region maps each table frame
+// to the base VA of the 2 MiB region it maps, for the rarer lookups
+// that need the region itself. Both are built together by leafPTs, so
+// they cannot go stale separately.
+type ptIndex struct {
+	bits   []uint64 // bit f set ⇔ frame f is a known leaf PT; one bit per physical frame
+	region map[phys.Frame]phys.Addr
+}
+
+// leafPTs indexes every currently-known leaf-PT frame, walking region
+// bases below the kernel pool in order.
+func leafPTs(m *machine.Machine) ptIndex {
 	base, _ := m.PageTables().Region()
 	limit := base.Addr()
-	out := make(map[phys.Frame]phys.Addr)
+	x := ptIndex{
+		bits:   make([]uint64, (m.Memory().Frames()+63)/64),
+		region: make(map[phys.Frame]phys.Addr),
+	}
 	span := pagetable.Span(2)
 	for va := phys.Addr(0); va < limit; va += phys.Addr(span) {
 		if pte, ok := m.PTEAddr(va, 1); ok {
-			out[phys.FrameOf(pte)] = va
+			f := phys.FrameOf(pte)
+			x.bits[f/64] |= 1 << (f % 64)
+			x.region[f] = va
 		}
 	}
-	return out
+	return x
+}
+
+// has reports whether frame f is a known leaf page table. Frames past
+// the end of memory (a bit flip of a high frame number can point
+// there when the frame count is not a power of two) never are: their
+// bits are either past the bitset or never set.
+func (x ptIndex) has(f phys.Frame) bool {
+	w := uint64(f) / 64
+	return w < uint64(len(x.bits)) && x.bits[w]&(1<<(f%64)) != 0
+}
+
+// tablesIn counts the known tables among frames [first, first+n),
+// where first and n are multiples of 64. Frames past the end of memory
+// count as none.
+func (x ptIndex) tablesIn(first phys.Frame, n uint64) int {
+	c := 0
+	for w := uint64(first) / 64; w < (uint64(first)+n)/64 && w < uint64(len(x.bits)); w++ {
+		c += bits.OnesCount64(x.bits[w])
+	}
+	return c
 }
 
 // sameBank reports whether two locations address the same DRAM bank.
@@ -145,13 +181,23 @@ type regionCand struct {
 // candidate scan and ranking run once in NewEscalationPlanner; each
 // Next call lays out (sprays, excludes, picks a thrash stream for) the
 // next pair in rank order.
+//
+// The ranking does each piece of work once. Every candidate's leaf
+// PTE is decoded to its DRAM location once, before the pair scan. A
+// region's jackpot count — how many (page, frame bit) flips land on a
+// known page table — is computed the first time a victim row holds
+// that region's table and memoized in a dense per-region slice, so
+// regions shared by several candidate pairs are never recounted. The
+// count reads the ptIndex frame bitset a 64-frame word at a time, not
+// one map lookup per (page, bit).
 type EscalationPlanner struct {
 	m     *machine.Machine
 	geom  dram.Config
 	cands []regionCand
+	locs  []dram.Location // locs[i] is cands[i].pte's DRAM location
 	pairs []pairCand
 	next  int
-	ptOf  map[phys.Frame]phys.Addr
+	pts   ptIndex
 }
 
 // NewEscalationPlanner touches up to escalationSeedRegions regions
@@ -175,27 +221,46 @@ func NewEscalationPlanner(m *machine.Machine) (*EscalationPlanner, error) {
 			cands = append(cands, regionCand{va: va, pte: pte})
 		}
 	}
-	ptOf := leafPTs(m)
+	pts := leafPTs(m)
 	frameBits := bits.Len64(m.Memory().Frames() - 1)
 
 	// sprayableIn counts single-bit jackpot positions over one region's
 	// identity frames: bit j of page frame f flipping onto a known
-	// page-table frame.
+	// page-table frame. A region is an aligned block of 2^regionBits
+	// frames, so a flip below regionBits permutes the block onto
+	// itself, and one at or above it moves the whole block onto the
+	// aligned block first^1<<j. The count is therefore the block's own
+	// tables once per low bit plus the moved block's tables per high
+	// bit (a pair needs two regions below the kernel pool, so memory
+	// spans more than one region and frameBits > regionBits). Each
+	// region is counted once: memo[base/span] holds its count, -1
+	// until computed. Every table region lies below the kernel pool,
+	// so the memo covers every base the index can hold.
+	regionFrames := span / phys.FrameSize
+	regionBits := bits.TrailingZeros64(regionFrames)
+	memo := make([]int, (uint64(limit)+span-1)/span)
+	for k := range memo {
+		memo[k] = -1
+	}
 	sprayableIn := func(base phys.Addr) int {
-		n := 0
-		first := phys.FrameOf(base)
-		for p := uint64(0); p < span/phys.FrameSize; p++ {
-			f := first + phys.Frame(p)
-			for j := 0; j < frameBits; j++ {
-				if _, ok := ptOf[f^phys.Frame(1)<<j]; ok {
-					n++
-				}
-			}
+		k := uint64(base) / span
+		if memo[k] >= 0 {
+			return memo[k]
 		}
+		first := phys.FrameOf(base)
+		n := regionBits * pts.tablesIn(first, regionFrames)
+		for j := regionBits; j < frameBits; j++ {
+			n += pts.tablesIn(first^phys.Frame(1)<<j, regionFrames)
+		}
+		memo[k] = n
 		return n
 	}
 
-	p := &EscalationPlanner{m: m, geom: geom, cands: cands, ptOf: ptOf}
+	locs := make([]dram.Location, len(cands))
+	for i, c := range cands {
+		locs[i] = geom.Map(c.pte)
+	}
+	p := &EscalationPlanner{m: m, geom: geom, cands: cands, locs: locs, pts: pts}
 	type rowKey struct {
 		channel, rank, bank int
 		row                 uint64
@@ -203,7 +268,7 @@ func NewEscalationPlanner(m *machine.Machine) (*EscalationPlanner, error) {
 	seen := make(map[rowKey]bool)
 	for i := range cands {
 		for j := i + 1; j < len(cands); j++ {
-			a, b := geom.Map(cands[i].pte), geom.Map(cands[j].pte)
+			a, b := locs[i], locs[j]
 			if !sameBank(a, b) {
 				continue
 			}
@@ -228,7 +293,7 @@ func NewEscalationPlanner(m *machine.Machine) (*EscalationPlanner, error) {
 			var victims []phys.Addr
 			sprayable := 0
 			for f := phys.FrameOf(start); f <= phys.FrameOf(start+phys.Addr(rowBytes-1)); f++ {
-				if base, ok := ptOf[f]; ok {
+				if base, ok := pts.region[f]; ok {
 					victims = append(victims, base)
 					sprayable += sprayableIn(base)
 				}
@@ -277,7 +342,7 @@ func (p *EscalationPlanner) Next() (*EscalationPlan, error) {
 		},
 		VictimRegions: pc.victims,
 		Sprayable:     pc.sprayable,
-		ptOf:          p.ptOf,
+		pts:           p.pts,
 		// Spray: map every page of the victim regions so their tables
 		// fill with present PTEs — the flip targets.
 		Spray: make([]phys.Addr, 0, len(pc.victims)*int(pagetable.Span(2)/phys.FrameSize)),
@@ -293,8 +358,8 @@ func (p *EscalationPlanner) Next() (*EscalationPlan, error) {
 	// bank: those tables hold all the entries a flip could conceivably
 	// corrupt (the victim row by design, its neighbours under drift),
 	// and a corrupted stream translation could resolve anywhere.
-	for _, c := range p.cands {
-		loc := p.geom.Map(c.pte)
+	for i, c := range p.cands {
+		loc := p.locs[i]
 		if sameBank(loc, pc.loLoc) && loc.Row+1 >= pc.loLoc.Row && loc.Row <= pc.hiLoc.Row+1 {
 			plan.Exclude = regionPages(c.va, plan.Exclude)
 		}
@@ -350,6 +415,19 @@ func (plan *EscalationPlan) pickThrash(m *machine.Machine, geom dram.Config, loL
 	return fmt.Errorf("bench: no safe TLB-thrash region below the kernel pool")
 }
 
+// buildHammer constructs the eviction-driven hammer for the plan's
+// pair, then refreshes the plan's page-table index: eviction-set
+// construction demand-allocated more page tables, and a flip landing
+// on any of them is just as exploitable.
+func (plan *EscalationPlan) buildHammer(m *machine.Machine) (*ImplicitHammer, error) {
+	h, err := NewImplicitHammerForPair(m, plan.Pair, plan.Exclude, evset.Options{})
+	if err != nil {
+		return nil, err
+	}
+	plan.pts = leafPTs(m)
+	return h, nil
+}
+
 // scan scrubs the TLBs with the thrash stream, then re-translates
 // every sprayed page, looking for a translation that diverged from the
 // identity layout onto a known page-table frame. (page, table)
@@ -364,7 +442,7 @@ func (plan *EscalationPlan) scan(m *machine.Machine, rejected map[rejection]bool
 		if frame == phys.FrameOf(s) {
 			continue
 		}
-		if _, isPT := plan.ptOf[frame]; !isPT || rejected[rejection{s, frame}] {
+		if !plan.pts.has(frame) || rejected[rejection{s, frame}] {
 			continue
 		}
 		return s, frame, true
@@ -405,7 +483,7 @@ type EscalationResult struct {
 // untouched attacker page onto an untouched kernel-pool frame, and a
 // second plain store through that page writes kernel memory.
 func (plan *EscalationPlan) exploit(m *machine.Machine, corruptVA phys.Addr, table phys.Frame, res *EscalationResult) error {
-	region := plan.ptOf[table]
+	region := plan.pts.region[table]
 	// Find a free slot: an entry still zero means its page was never
 	// mapped, so no stale translation exists anywhere. (The attacker
 	// reads the table through its newly-won window; the simulator has
@@ -469,10 +547,10 @@ func RunEscalation(m *machine.Machine, h *ImplicitHammer, plan *EscalationPlan, 
 	if model == nil {
 		return EscalationResult{}, fmt.Errorf("bench: escalation needs a machine with a flip model")
 	}
-	// Refresh the table map: eviction-set construction demand-allocated
-	// more page tables since the plan was laid out, and a flip landing
-	// on any of them is just as exploitable.
-	plan.ptOf = leafPTs(m)
+	// Refresh the table index: eviction-set construction
+	// demand-allocated more page tables since the plan was laid out,
+	// and a flip landing on any of them is just as exploitable.
+	plan.pts = leafPTs(m)
 
 	// Construction already rotated windows (and could in principle have
 	// flipped); everything reported below is the hammer phase's own

@@ -1,11 +1,16 @@
 package bench
 
 import (
+	"fmt"
+	"math/bits"
+	"reflect"
+	"sort"
 	"testing"
 
 	"pthammer/internal/evset"
 	"pthammer/internal/flip"
 	"pthammer/internal/machine"
+	"pthammer/internal/pagetable"
 	"pthammer/internal/phys"
 )
 
@@ -240,5 +245,185 @@ func TestEscalationPlannerRanksPairs(t *testing.T) {
 	}
 	if _, err := planner.Next(); err == nil {
 		t.Fatal("exhausted planner handed out another plan")
+	}
+}
+
+// referencePairs is the planner's original ranking, kept as the oracle
+// the memoized one must match pair for pair: a frame→region map lookup
+// per (page, frame bit), each region's jackpot count recomputed for
+// every pair whose victim row holds it, and two geom.Map calls per
+// (i, j).
+func referencePairs(m *machine.Machine) ([]pairCand, error) {
+	span := pagetable.Span(2)
+	geom := m.DRAM().Config()
+	poolBase, _ := m.PageTables().Region()
+	limit := poolBase.Addr()
+
+	var cands []regionCand
+	for k := 0; k < escalationSeedRegions && phys.Addr(uint64(k)*span) < limit; k++ {
+		va := phys.Addr(uint64(k) * span)
+		m.Load(va)
+		if pte, ok := m.PTEAddr(va, 1); ok {
+			cands = append(cands, regionCand{va: va, pte: pte})
+		}
+	}
+	ptOf := make(map[phys.Frame]phys.Addr)
+	for va := phys.Addr(0); va < limit; va += phys.Addr(span) {
+		if pte, ok := m.PTEAddr(va, 1); ok {
+			ptOf[phys.FrameOf(pte)] = va
+		}
+	}
+	frameBits := bits.Len64(m.Memory().Frames() - 1)
+	sprayableIn := func(base phys.Addr) int {
+		n := 0
+		first := phys.FrameOf(base)
+		for p := uint64(0); p < span/phys.FrameSize; p++ {
+			f := first + phys.Frame(p)
+			for j := 0; j < frameBits; j++ {
+				if _, ok := ptOf[f^phys.Frame(1)<<j]; ok {
+					n++
+				}
+			}
+		}
+		return n
+	}
+
+	var pairs []pairCand
+	type rowKey struct {
+		channel, rank, bank int
+		row                 uint64
+	}
+	seen := make(map[rowKey]bool)
+	for i := range cands {
+		for j := i + 1; j < len(cands); j++ {
+			a, b := geom.Map(cands[i].pte), geom.Map(cands[j].pte)
+			if !sameBank(a, b) {
+				continue
+			}
+			lo, hi := cands[i], cands[j]
+			loLoc, hiLoc := a, b
+			if loLoc.Row > hiLoc.Row {
+				lo, hi = hi, lo
+				loLoc, hiLoc = hiLoc, loLoc
+			}
+			if hiLoc.Row-loLoc.Row != 2 {
+				continue
+			}
+			victimRow := loLoc.Row + 1
+			key := rowKey{loLoc.Channel, loLoc.Rank, loLoc.Bank, victimRow}
+			if seen[key] {
+				continue
+			}
+			start, rowBytes := geom.RowRange(loLoc.Channel, loLoc.Rank, loLoc.Bank, victimRow)
+			var victims []phys.Addr
+			sprayable := 0
+			for f := phys.FrameOf(start); f <= phys.FrameOf(start+phys.Addr(rowBytes-1)); f++ {
+				if base, ok := ptOf[f]; ok {
+					victims = append(victims, base)
+					sprayable += sprayableIn(base)
+				}
+			}
+			if sprayable == 0 {
+				continue
+			}
+			seen[key] = true
+			pairs = append(pairs, pairCand{
+				lo: lo, hi: hi, loLoc: loLoc, hiLoc: hiLoc,
+				victimRow: victimRow, victims: victims, sprayable: sprayable,
+			})
+		}
+	}
+	if len(pairs) == 0 {
+		return nil, fmt.Errorf("bench: no sprayable aggressor pair within %d regions", escalationSeedRegions)
+	}
+	sort.SliceStable(pairs, func(i, j int) bool {
+		return pairs[i].sprayable > pairs[j].sprayable
+	})
+	return pairs, nil
+}
+
+// rowsConfig is the demo machine with rows DRAM rows per bank and the
+// memory resized to match, so the frame count follows the row count.
+func rowsConfig(profile flip.Profile, rows uint64) machine.Config {
+	cfg := EscalationConfig(flip.MustNewModel(profile, escalationSeed))
+	cfg.DRAM.Rows = rows
+	cfg.MemBytes = cfg.DRAM.Capacity()
+	return cfg
+}
+
+// TestPlannerMatchesReference: the memoized, bitset-backed planner
+// ranks exactly the pairs the reference ranking does, in the same
+// order, every field included. The non-power-of-two row counts give
+// frame counts where a high-bit flip points past the last frame — the
+// bitset's bound check — and rows=1000 yields no pair at all, where
+// both must fail the same way.
+func TestPlannerMatchesReference(t *testing.T) {
+	cases := []struct {
+		name  string
+		cfg   func() machine.Config
+		pairs bool // the geometry yields at least one pair
+	}{
+		{"class A", func() machine.Config { return EscalationConfig(flip.MustNewModel(flip.ClassA(), escalationSeed)) }, true},
+		{"class B", func() machine.Config { return EscalationConfig(flip.MustNewModel(flip.ClassB(), escalationSeed)) }, true},
+		{"class C", func() machine.Config { return EscalationConfig(flip.MustNewModel(flip.ClassC(), escalationSeed)) }, true},
+		{"rows 8000", func() machine.Config { return rowsConfig(flip.ClassA(), 8000) }, true},
+		{"rows 4097", func() machine.Config { return rowsConfig(flip.ClassB(), 4097) }, true},
+		{"rows 1000", func() machine.Config { return rowsConfig(flip.ClassC(), 1000) }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := machine.MustNew(tc.cfg())
+			want, wantErr := referencePairs(machine.MustNew(tc.cfg()))
+			got, gotErr := NewEscalationPlanner(m)
+			if tc.pairs != (wantErr == nil) {
+				t.Fatalf("reference pairs %d, err %v; geometry expected to yield pairs: %v", len(want), wantErr, tc.pairs)
+			}
+			if wantErr != nil {
+				if gotErr == nil || gotErr.Error() != wantErr.Error() {
+					t.Fatalf("planner error %v, reference error %v", gotErr, wantErr)
+				}
+				return
+			}
+			if gotErr != nil {
+				t.Fatalf("planner failed where the reference ranked %d pairs: %v", len(want), gotErr)
+			}
+			if !reflect.DeepEqual(got.pairs, want) {
+				t.Fatalf("ranked pairs differ from the reference:\n got %+v\nwant %+v", got.pairs, want)
+			}
+		})
+	}
+}
+
+// TestPTIndexBounds: the frame bitset agrees with the frame→region
+// map, and frames at or past the end of memory — where a flip of the
+// top frame bit lands when the frame count is not a power of two —
+// are never tables.
+func TestPTIndexBounds(t *testing.T) {
+	m := machine.MustNew(rowsConfig(flip.ClassA(), 4097))
+	if _, err := NewEscalationPlanner(m); err != nil {
+		t.Fatal(err)
+	}
+	n := m.Memory().Frames()
+	if n&(n-1) == 0 {
+		t.Fatalf("frame count %d is a power of two; the bound goes unexercised", n)
+	}
+	x := leafPTs(m)
+	set := 0
+	for _, w := range x.bits {
+		set += bits.OnesCount64(w)
+	}
+	if set != len(x.region) || set == 0 {
+		t.Fatalf("bitset holds %d frames, region map %d", set, len(x.region))
+	}
+	for f := range x.region {
+		if !x.has(f) {
+			t.Fatalf("table frame %#x missing from the bitset", uint64(f))
+		}
+	}
+	top := phys.Frame(1)<<bits.Len64(n-1) - 1
+	for _, f := range []phys.Frame{phys.Frame(n), phys.Frame(n) + 64, top} {
+		if x.has(f) {
+			t.Fatalf("frame %#x past the last frame %#x reported as a table", uint64(f), n-1)
+		}
 	}
 }

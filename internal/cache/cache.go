@@ -44,6 +44,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.SizeBytes == 0 || c.Ways <= 0 || c.LineBytes == 0:
 		return fmt.Errorf("cache: size/ways/line must be positive (got %d/%d/%d)", c.SizeBytes, c.Ways, c.LineBytes)
+	case c.Ways > mem.MaxWays:
+		return fmt.Errorf("cache: %d ways exceeds the supported associativity %d", c.Ways, mem.MaxWays)
 	case c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("cache: line size %d must be a power of two", c.LineBytes)
 	case c.SizeBytes%(uint64(c.Ways)*c.LineBytes) != 0:

@@ -46,17 +46,22 @@ func newTestHierarchy(t *testing.T) (*Hierarchy, *fakeDRAM, *timing.Clock, *perf
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := Config{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64}
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	for _, good := range []Config{
+		{SizeBytes: 32 << 10, Ways: 8, LineBytes: 64},
+		{SizeBytes: 8192 * mem.MaxWays * 64, Ways: mem.MaxWays, LineBytes: 64},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("valid config %+v rejected: %v", good, err)
+		}
 	}
 	bad := []Config{
 		{SizeBytes: 0, Ways: 8, LineBytes: 64},
 		{SizeBytes: 32 << 10, Ways: 0, LineBytes: 64},
 		{SizeBytes: 32 << 10, Ways: 8, LineBytes: 0},
-		{SizeBytes: 32 << 10, Ways: 8, LineBytes: 48},   // not a power of two
-		{SizeBytes: 100, Ways: 3, LineBytes: 64},        // not divisible
-		{SizeBytes: 3 * 8 * 64, Ways: 8, LineBytes: 64}, // 3 sets
+		{SizeBytes: 32 << 10, Ways: 8, LineBytes: 48},        // not a power of two
+		{SizeBytes: 100, Ways: 3, LineBytes: 64},             // not divisible
+		{SizeBytes: 3 * 8 * 64, Ways: 8, LineBytes: 64},      // 3 sets
+		{SizeBytes: 8192 * 20 * 64, Ways: 20, LineBytes: 64}, // past mem.MaxWays
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"pthammer/internal/cache"
 	"pthammer/internal/dram"
 	"pthammer/internal/fault"
 	"pthammer/internal/flip"
@@ -49,6 +50,22 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	cfg.NoiseProb = 2
 	if _, err := New(cfg); err == nil {
 		t.Error("invalid noise config accepted")
+	}
+}
+
+// TestNewRejectsWideLLC: a 20-way LLC (8192 sets, common on server
+// parts) is past the set-assoc array's associativity limit, so New
+// must report it as a config error instead of panicking mid-build.
+func TestNewRejectsWideLLC(t *testing.T) {
+	cfg := SandyBridge()
+	cfg.LLC = cache.Config{SizeBytes: 8192 * 20 * 64, Ways: 20, LineBytes: 64}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("New panicked on a 20-way LLC: %v", r)
+		}
+	}()
+	if _, err := New(cfg); err == nil {
+		t.Fatal("20-way LLC accepted")
 	}
 }
 

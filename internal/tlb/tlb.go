@@ -31,6 +31,8 @@ func (c Config) Validate() error {
 		switch {
 		case entries <= 0 || ways <= 0:
 			return fmt.Errorf("tlb: %s entries/ways must be positive (got %d/%d)", name, entries, ways)
+		case ways > mem.MaxWays:
+			return fmt.Errorf("tlb: %s %d ways exceeds the supported associativity %d", name, ways, mem.MaxWays)
 		case entries%ways != 0:
 			return fmt.Errorf("tlb: %s entries %d not divisible by ways %d", name, entries, ways)
 		}

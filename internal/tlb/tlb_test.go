@@ -51,15 +51,22 @@ func newTestTLB(t *testing.T) (*TLB, *fakeWalker, *timing.Clock, *perf.Counters)
 func pageAddr(vpn uint64) phys.Addr { return phys.Addr(vpn << phys.FrameShift) }
 
 func TestConfigValidate(t *testing.T) {
-	if err := tinyConfig().Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+	for _, good := range []Config{
+		tinyConfig(),
+		{L1Entries: 4, L1Ways: 2, L2Entries: 64, L2Ways: mem.MaxWays},
+	} {
+		if err := good.Validate(); err != nil {
+			t.Fatalf("valid config %+v rejected: %v", good, err)
+		}
 	}
 	bad := []Config{
 		{L1Entries: 0, L1Ways: 2, L2Entries: 16, L2Ways: 2},
 		{L1Entries: 4, L1Ways: 0, L2Entries: 16, L2Ways: 2},
-		{L1Entries: 4, L1Ways: 3, L2Entries: 16, L2Ways: 2},  // not divisible
-		{L1Entries: 12, L1Ways: 2, L2Entries: 16, L2Ways: 2}, // 6 sets
-		{L1Entries: 16, L1Ways: 2, L2Entries: 16, L2Ways: 2}, // sTLB not larger
+		{L1Entries: 4, L1Ways: 3, L2Entries: 16, L2Ways: 2},   // not divisible
+		{L1Entries: 12, L1Ways: 2, L2Entries: 16, L2Ways: 2},  // 6 sets
+		{L1Entries: 16, L1Ways: 2, L2Entries: 16, L2Ways: 2},  // sTLB not larger
+		{L1Entries: 20, L1Ways: 20, L2Entries: 64, L2Ways: 4}, // dTLB past mem.MaxWays
+		{L1Entries: 4, L1Ways: 2, L2Entries: 40, L2Ways: 20},  // sTLB past mem.MaxWays
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
