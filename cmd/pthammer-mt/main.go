@@ -19,8 +19,9 @@
 //     rates per 10⁶ tenants across module classes A/B/C and both table
 //     striping layouts.
 //
-// Every core runs in its own goroutine, but the interleaver grants
-// quanta lowest-clock-first with a fixed tiebreak, so the output bytes
+// Every core runs as its own coroutine, and the interleaver grants
+// quanta lowest-clock-first with a fixed tiebreak; population units
+// run in parallel but share no simulated state. So the output bytes
 // are a pure function of the flags — in particular independent of
 // -procs (GOMAXPROCS) and of -pool (the population runs' front-end
 // count). CI asserts this by diffing runs at -procs 1, 2 and 4, twice
@@ -31,10 +32,13 @@
 //	pthammer-mt [-scenario all|amplify|noisy|cross-tenant|population]
 //	            [-seed N] [-windows N] [-xt-seed N] [-xt-windows N]
 //	            [-pool N] [-pop-tenants N] [-pop-seed N] [-pop-windows N]
-//	            [-procs N] [-o FILE]
+//	            [-procs N] [-o FILE] [-cpuprofile FILE]
+//
+// -cpuprofile writes a host CPU profile of the simulation (go tool
+// pprof reads it); without the flag nothing is profiled or written.
 //
 // Exit codes: 0 success, 1 simulation failure, 2 usage error, 3 output
-// write failure.
+// or profile write failure.
 package main
 
 import (
@@ -44,6 +48,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/pprof"
 
 	"pthammer/internal/bench"
 	"pthammer/internal/cohort"
@@ -219,6 +224,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	popWindows := fs.Int("pop-windows", 3, "refresh windows per tenant slice in the population runs")
 	procs := fs.Int("procs", 0, "GOMAXPROCS for the run (0 keeps the runtime default); the output must not depend on it")
 	out := fs.String("o", "", "output path (default stdout)")
+	cpuprofile := fs.String("cpuprofile", "", "write a host CPU profile of the simulation to this file")
 	if err := fs.Parse(args); err != nil {
 		// The flag set already printed the parse error and usage.
 		return exitUsage
@@ -250,6 +256,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(*procs))
 	}
 
+	var stopProfile func() error
+	if *cpuprofile != "" {
+		stop, err := startCPUProfile(*cpuprofile)
+		if err != nil {
+			fmt.Fprintln(stderr, "pthammer-mt:", err)
+			return exitWrite
+		}
+		stopProfile = stop
+	}
 	report, err := render(params{
 		scenario:   *scenario,
 		seed:       *seed,
@@ -261,6 +276,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		popSeed:    *popSeed,
 		popWindows: *popWindows,
 	})
+	if stopProfile != nil {
+		if perr := stopProfile(); perr != nil {
+			fmt.Fprintln(stderr, "pthammer-mt:", perr)
+			return exitWrite
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "pthammer-mt:", err)
 		return exitRuntime
@@ -275,6 +296,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "wrote", *out)
 	return exitOK
+}
+
+// startCPUProfile starts a host CPU profile written to path; the
+// returned stop ends the profile and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 func main() {

@@ -142,3 +142,38 @@ func TestRunUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRunCPUProfile: -cpuprofile writes a pprof profile (gzip-framed
+// protobuf) next to an unchanged report, and an unwritable profile
+// path is a write failure that runs nothing.
+func TestRunCPUProfile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cpu.pprof")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-scenario", "noisy", "-cpuprofile", path}, &stdout, &stderr); code != exitOK {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+		t.Errorf("profile is not gzip-framed: % x", data[:min(len(data), 8)])
+	}
+	var plain bytes.Buffer
+	if code := run([]string{"-scenario", "noisy"}, &plain, &stderr); code != exitOK {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	if plain.String() != stdout.String() {
+		t.Errorf("profiling changed the report:\n--- profiled ---\n%s--- plain ---\n%s", stdout.String(), plain.String())
+	}
+
+	stdout.Reset()
+	bad := filepath.Join(dir, "missing", "cpu.pprof")
+	if code := run([]string{"-scenario", "noisy", "-cpuprofile", bad}, &stdout, &stderr); code != exitWrite {
+		t.Errorf("unwritable profile path: exit %d, want %d", code, exitWrite)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("a failed profile start still ran the scenario:\n%s", stdout.String())
+	}
+}

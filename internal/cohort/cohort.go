@@ -6,28 +6,32 @@
 // class and per-tenant seed — so simulating 10⁴+ tenants allocates
 // like simulating a handful.
 //
-// Determinism is the package's load-bearing property, and it is
+// Units share no simulated state, so they run in parallel: each unit
+// has its own goroutine and takes every units-th tenant in index
+// order. Determinism is the package's load-bearing property, and it is
 // layered:
 //
-//   - within a slice, every active unit's two cores run under one
-//     internal/core interleaver, so the schedule is bit-identical for
-//     any GOMAXPROCS value;
+//   - within a tenant, the attacker and victim cores run under their
+//     own internal/core interleaver, so the schedule is bit-identical
+//     for any GOMAXPROCS value;
 //   - across pool sizes, tenants are observationally independent —
 //     each runs on a freshly recycled unit whose post-Reset state is
 //     bit-identical to construction (the reset-equivalence difftest in
 //     internal/machine) and units share no simulated state — so
-//     regrouping tenants into wider or narrower slices cannot change
-//     any tenant's outcome;
+//     handing tenants to more or fewer units, in whatever order the
+//     goroutines run, cannot change any tenant's outcome;
 //   - per-tenant randomness (the flip model's sampling, the victim's
 //     load jitter) derives from a seed mixed from the population seed
 //     and the tenant index alone.
 //
 // CI pins all three: population tables must be byte-identical across
-// GOMAXPROCS {1,2,4} and across two pool sizes.
+// GOMAXPROCS {1,2,4} and across two pool sizes, and
+// TestPopulationMatchesPinnedDigests pins the outcomes themselves.
 package cohort
 
 import (
 	"fmt"
+	"sync"
 
 	"pthammer/internal/core"
 	"pthammer/internal/flip"
@@ -139,7 +143,7 @@ type unit struct {
 	level uint64
 }
 
-// Pool is a bounded set of units tenants are time-sliced over. All
+// Pool is a bounded set of units tenants are spread over. All
 // units are identical, so a population's outcomes are a pure function
 // of the Spec and the pool's layout — never of its size.
 type Pool struct {
@@ -192,7 +196,7 @@ func NewPool(frontEnds int, layout machine.TableLayout) (*Pool, error) {
 	return p, nil
 }
 
-// Units returns how many tenant slots a slice runs concurrently.
+// Units returns how many tenants the pool runs in parallel.
 func (p *Pool) Units() int { return len(p.units) }
 
 // FrontEnds returns how many core front-ends the pool drives.
@@ -283,33 +287,83 @@ func (u *unit) collect() Outcome {
 
 // RunDetailed pushes a population through the pool and returns both
 // the merged statistics and every tenant's outcome, in tenant order.
-// Tenants are scheduled in index order, len(units) per slice; each
-// slice's active cores run under one deterministic interleaver.
+// Each unit runs on its own goroutine and takes the tenants t ≡ k (mod
+// units) in index order; each tenant's attacker and victim cores run
+// under their own deterministic interleaver, and its outcome lands in
+// its own slot, so the result does not depend on how the units'
+// goroutines are scheduled.
+//
+// A unit that fails stops, and the others run their shares to the end.
+// Then the failure of the lowest tenant index decides the result: a
+// panic is re-raised on the caller's goroutine (the contract core.Run
+// keeps for its streams), an error is returned.
 func (p *Pool) RunDetailed(spec Spec) (Population, []Outcome, error) {
 	if err := spec.validate(); err != nil {
 		return Population{}, nil, err
 	}
 	budget := timing.Cycles(spec.Windows) * tenantWindow
-	outs := make([]Outcome, 0, spec.Tenants)
-	for base := 0; base < spec.Tenants; base += len(p.units) {
-		active := min(len(p.units), spec.Tenants-base)
-		streams := make([]core.Stream, 0, 2*active)
-		for k := 0; k < active; k++ {
-			u := p.units[k]
-			if err := u.prepare(spec, base+k); err != nil {
-				return Population{}, nil, err
-			}
-			streams = append(streams,
-				core.Stream{Now: u.attacker.Clock().Now, Run: u.attackerBody(budget)},
-				core.Stream{Now: u.victim.Clock().Now, Run: u.victimBody(budget)},
-			)
-		}
-		core.Run(streams)
-		for k := 0; k < active; k++ {
-			outs = append(outs, p.units[k].collect())
-		}
+	outs := make([]Outcome, spec.Tenants)
+	fails := make([]failure, min(len(p.units), spec.Tenants))
+	var wg sync.WaitGroup
+	for k := range fails {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fails[k] = p.units[k].runShare(spec, budget, k, len(p.units), outs)
+		}()
+	}
+	wg.Wait()
+	if f := firstFailure(fails); f.val != nil {
+		panic(f.val)
+	} else if f.err != nil {
+		return Population{}, nil, f.err
 	}
 	return merge(spec, p.layout, outs), outs, nil
+}
+
+// failure is how one unit's share of a population ended: with the
+// tenant it stopped at, and the error or recovered panic value that
+// stopped it. The zero value means the share completed.
+type failure struct {
+	tenant int
+	err    error
+	val    any
+}
+
+func (f failure) failed() bool { return f.err != nil || f.val != nil }
+
+// firstFailure picks the failure of the lowest tenant index, or the
+// zero failure when every share completed. Each unit stops at its own
+// first failure, so the pick is the population's first failing tenant
+// whatever order the units ran in.
+func firstFailure(fails []failure) failure {
+	var first failure
+	for _, f := range fails {
+		if f.failed() && (!first.failed() || f.tenant < first.tenant) {
+			first = f
+		}
+	}
+	return first
+}
+
+// runShare runs the tenants start, start+stride, … of the population
+// on u, writing each outcome to outs[tenant]. A panic in any stage is
+// recovered into the returned failure, so it never crashes the process
+// from the unit's goroutine.
+func (u *unit) runShare(spec Spec, budget timing.Cycles, start, stride int, outs []Outcome) (f failure) {
+	f.tenant = start
+	defer func() { f.val = recover() }()
+	for ; f.tenant < spec.Tenants; f.tenant += stride {
+		if f.err = u.prepare(spec, f.tenant); f.err != nil {
+			return f
+		}
+		core.Run([]core.Stream{
+			{Now: u.attacker.Clock().Now, Run: u.attackerBody(budget)},
+			{Now: u.victim.Clock().Now, Run: u.victimBody(budget)},
+		})
+		outs[f.tenant] = u.collect()
+	}
+	return failure{}
 }
 
 // Run is RunDetailed without the per-tenant outcomes.

@@ -1,6 +1,10 @@
 package cohort
 
 import (
+	"errors"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"pthammer/internal/flip"
@@ -223,5 +227,78 @@ func TestPerMillionRates(t *testing.T) {
 	}
 	if got := (Population{}).BreachedPerM(); got != 0 {
 		t.Errorf("empty population rate = %d, want 0", got)
+	}
+}
+
+// TestUnitPanicReachesCaller breaks two units of a pool and checks the
+// failure contract of RunDetailed: the panics stay on the units'
+// goroutines until every other unit has finished its share, then the
+// panic of the lowest failing tenant is re-raised on the caller, and
+// the repaired pool runs the population as a fresh pool does.
+func TestUnitPanicReachesCaller(t *testing.T) {
+	p, err := NewPool(8, machine.LayoutInterleaved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Profile: flip.ClassA(), Tenants: 10, Seed: 3, Windows: 1}
+	// Unit 1 (tenants 1, 5, 9) panics in its attacker body with an
+	// index error; unit 2 (tenants 2, 6) with a nil dereference before
+	// its interleaver starts. Tenant 1 is the lowest failing tenant.
+	u1, u2 := p.units[1], p.units[2]
+	ring, attacker := u1.geo.ring, u2.attacker
+	u1.geo.ring, u2.attacker = nil, nil
+	func() {
+		defer func() {
+			r := recover()
+			e, ok := r.(runtime.Error)
+			if !ok || !strings.Contains(e.Error(), "index out of range") {
+				t.Fatalf("recovered %v, want unit 1's index panic", r)
+			}
+		}()
+		p.RunDetailed(spec)
+		t.Fatal("RunDetailed returned instead of panicking")
+	}()
+	// The healthy units ran their shares to the last tenant.
+	for k, last := range map[int]int{0: 8, 3: 7} {
+		if got := p.units[k].out.Tenant; got != last {
+			t.Errorf("unit %d stopped at tenant %d, want %d", k, got, last)
+		}
+	}
+
+	u1.geo.ring, u2.attacker = ring, attacker
+	_, outs, err := p.RunDetailed(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewPool(8, machine.LayoutInterleaved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want, err := fresh.RunDetailed(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(outs, want) {
+		t.Errorf("repaired pool diverges from a fresh one:\n got %+v\nwant %+v", outs, want)
+	}
+}
+
+// TestFirstFailurePicksLowestTenant: the failure RunDetailed reports
+// is the lowest failing tenant's, whichever unit it ran on and
+// whatever kind it is.
+func TestFirstFailurePicksLowestTenant(t *testing.T) {
+	errA, errB := errors.New("a"), errors.New("b")
+	for _, tc := range []struct {
+		fails []failure
+		want  failure
+	}{
+		{[]failure{{}, {}}, failure{}},
+		{[]failure{{}, {tenant: 5, err: errA}, {tenant: 2, err: errB}}, failure{tenant: 2, err: errB}},
+		{[]failure{{tenant: 4, err: errA}, {tenant: 3, val: "boom"}}, failure{tenant: 3, val: "boom"}},
+		{[]failure{{tenant: 6, val: "late"}, {tenant: 1, err: errA}}, failure{tenant: 1, err: errA}},
+	} {
+		if got := firstFailure(tc.fails); got != tc.want {
+			t.Errorf("firstFailure(%+v) = %+v, want %+v", tc.fails, got, tc.want)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package core is the deterministic interleaver underneath the
 // simulator's multi-core mode: it drives N per-core access streams,
-// each in its own goroutine, while granting execution to exactly one
-// stream at a time — always the runnable stream whose logical clock is
+// each as an iter.Pull coroutine, while granting execution to exactly
+// one stream at a time — always the stream whose logical clock is
 // lowest, ties broken by lowest core index. The sweep engine already
 // established the repo's concurrency contract (worker count changes
 // wall-clock time and nothing else, via per-shard seeds); this package
@@ -11,12 +11,16 @@
 // state the streams touch (LLC contents, DRAM activation counters,
 // flip-engine reports) — is bit-identical for any GOMAXPROCS value.
 //
-// The handshake is strictly serial: the scheduler grants one quantum,
-// then blocks until the granted stream reports back (parked at its
-// next yield, or finished) before picking again. Exactly one goroutine
-// executes simulator code at any instant, and every edge is an
-// unbuffered channel operation, so the interleaver is race-clean by
+// The handshake is strictly serial: a grant is one call of the
+// stream's pull function, a coroutine switch that runs the stream
+// until its next yield (or its end) and switches back before the
+// scheduler picks again. Exactly one stream executes simulator code
+// at any instant, on behalf of Run's caller, and every switch is a
+// happens-before edge, so the interleaver is race-clean by
 // construction — the property the CI multicore leg pins under -race.
+// Separate Run calls are independent: callers may run them in
+// parallel when their streams share no state (internal/cohort runs
+// one per unit).
 //
 // Because grants always go to the lowest clock, the sequence of clock
 // values observed at grant time is nondecreasing: shared devices see
@@ -26,7 +30,11 @@
 // from a core that has not caught up yet; see dram.rotateWindow.
 package core
 
-import "pthammer/internal/timing"
+import (
+	"iter"
+
+	"pthammer/internal/timing"
+)
 
 // Stream is one core's access stream under the interleaver.
 type Stream struct {
@@ -45,11 +53,11 @@ type Stream struct {
 	Run func(yield func())
 }
 
-// streamAbort is the sentinel a parked stream panics with to unwind
-// itself during teardown after another stream's body panicked. The
-// unwind runs the stream's own deferred cleanup on its own goroutine —
-// exactly what a cooperating body expects — and is recovered at the
-// goroutine top, never escaping to the user.
+// streamAbort is the sentinel a suspended stream's yield panics with
+// when Run stops it during teardown after another stream's body
+// panicked. The unwind runs the stream's own deferred cleanup inside
+// its coroutine — exactly what a cooperating body expects — and is
+// recovered by Run, never escaping to the user.
 type streamAbort struct{}
 
 // Run executes the streams to completion under the deterministic
@@ -61,11 +69,10 @@ type streamAbort struct{}
 // Run panics on a stream with a nil Now or Run — a wiring bug, not a
 // runtime condition.
 //
-// A panic inside a stream body does not crash the process from the
-// stream's goroutine: Run aborts the schedule, resumes every other
-// live stream so it unwinds through its deferred cleanup (yield panics
-// a private sentinel after the grant), waits for all goroutines to
-// finish, and then re-panics the original value on the caller's
+// A panic inside a stream body surfaces from the grant that ran it.
+// Run then stops every other live stream, so each suspended body
+// unwinds through its deferred cleanup (its yield panics a private
+// sentinel), and re-panics the original value on the caller's
 // goroutine. The first panicking stream wins; panics raised by cleanup
 // during the unwind are swallowed in favour of the original.
 func Run(streams []Stream) []int {
@@ -79,71 +86,37 @@ func Run(streams []Stream) []int {
 		}
 	}
 
-	type report struct {
-		core     int
-		done     bool
-		panicked bool
-		val      any
-	}
-	grants := make([]chan struct{}, n)
-	status := make(chan report)
-	// abort is written by the scheduler only while every live stream is
-	// parked, and read by a stream only after receiving a grant; the
-	// grant channel's send/receive edge orders the two, so a plain bool
-	// is race-free.
-	abort := false
-	for i := range streams {
-		grants[i] = make(chan struct{})
-		go func(i int, s Stream) {
-			defer func() {
-				switch r := recover(); {
-				case r == nil:
-					// s.Run returned normally; the done report was
-					// already sent below.
-				case r == any(streamAbort{}):
-					status <- report{core: i, done: true}
-				default:
-					status <- report{core: i, done: true, panicked: true, val: r}
-				}
-			}()
-			yield := func() {
-				status <- report{core: i}
-				<-grants[i]
-				if abort {
+	nexts := make([]func() (struct{}, bool), n)
+	stops := make([]func(), n)
+	for i, s := range streams {
+		nexts[i], stops[i] = iter.Pull(func(yield func(struct{}) bool) {
+			s.Run(func() {
+				if !yield(struct{}{}) {
 					panic(streamAbort{})
 				}
-			}
-			// Wait for the first grant so the stream body never runs
-			// concurrently with another stream's quantum.
-			<-grants[i]
-			if abort {
-				panic(streamAbort{})
-			}
-			s.Run(yield)
-			status <- report{core: i, done: true}
-		}(i, streams[i])
+			})
+		})
 	}
+	// On a normal return every stream has finished and stop is a no-op;
+	// on a panic (from a body or a Now) this is the teardown.
+	defer func() {
+		r := recover()
+		for _, stop := range stops {
+			stopQuietly(stop)
+		}
+		if r != nil {
+			panic(r)
+		}
+	}()
 
-	// Every stream is parked at its initial grant receive; the
-	// scheduler loop below keeps the invariant that all live streams
-	// are parked whenever it picks, because it blocks on the granted
-	// stream's report before picking again.
 	done := make([]bool, n)
-	remaining := n
 	var log []int
-	var panicVal any
-	for remaining > 0 {
+	for remaining := n; remaining > 0; {
 		best := -1
 		var bestT timing.Cycles
 		for i := 0; i < n; i++ {
 			if done[i] {
 				continue
-			}
-			if abort {
-				// Teardown: order no longer matters, clocks may be
-				// mid-update in the panicked body — grant by index.
-				best = i
-				break
 			}
 			t := streams[i].Now()
 			// Strict < implements the fixed tiebreak: equal clocks go
@@ -152,22 +125,18 @@ func Run(streams []Stream) []int {
 				best, bestT = i, t
 			}
 		}
-		if !abort {
-			log = append(log, best)
-		}
-		grants[best] <- struct{}{}
-		r := <-status
-		if r.done {
-			done[r.core] = true
+		log = append(log, best)
+		if _, ok := nexts[best](); !ok {
+			done[best] = true
 			remaining--
 		}
-		if r.panicked && panicVal == nil {
-			panicVal = r.val
-			abort = true
-		}
-	}
-	if panicVal != nil {
-		panic(panicVal)
 	}
 	return log
+}
+
+// stopQuietly stops one stream, swallowing whatever its unwind panics
+// with: the streamAbort sentinel, or a panic from its cleanup.
+func stopQuietly(stop func()) {
+	defer func() { _ = recover() }()
+	stop()
 }

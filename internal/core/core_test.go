@@ -224,6 +224,82 @@ func TestPanicBeforeFirstYield(t *testing.T) {
 	t.Fatal("Run returned instead of panicking")
 }
 
+// TestTeardownSwallowsCleanupPanics: during teardown a stream whose
+// cleanup panics cannot replace the original value, and a stream that
+// recovers the abort and returns is simply done.
+func TestTeardownSwallowsCleanupPanics(t *testing.T) {
+	var clocks [3]timing.Cycles
+	swallowed := false
+	streams := make([]core.Stream, len(clocks))
+	for i := range streams {
+		streams[i] = core.Stream{
+			Now: func() timing.Cycles { return clocks[i] },
+			Run: func(yield func()) {
+				switch i {
+				case 0:
+					defer func() { panic("cleanup") }()
+				case 2:
+					defer func() { swallowed = recover() != nil }()
+				}
+				for q := 0; ; q++ {
+					clocks[i] += 10
+					if i == 1 && q == 1 {
+						panic("boom")
+					}
+					yield()
+				}
+			},
+		}
+	}
+	defer func() {
+		if r := recover(); r != "boom" {
+			t.Fatalf("recovered %v, want the original \"boom\"", r)
+		}
+		if !swallowed {
+			t.Error("stream 2 never saw the abort sentinel")
+		}
+	}()
+	core.Run(streams)
+	t.Fatal("Run returned instead of panicking")
+}
+
+// TestPanicInNowTearsDown: a Now that panics is a scheduler-side
+// panic; the live streams still unwind before it reaches the caller.
+func TestPanicInNowTearsDown(t *testing.T) {
+	cleaned := false
+	var calls int
+	streams := []core.Stream{
+		{
+			Now: func() timing.Cycles { return 0 },
+			Run: func(yield func()) {
+				defer func() { cleaned = true }()
+				for {
+					yield()
+				}
+			},
+		},
+		{
+			Now: func() timing.Cycles {
+				if calls++; calls == 3 {
+					panic("bad clock")
+				}
+				return 1
+			},
+			Run: func(yield func()) {},
+		},
+	}
+	defer func() {
+		if r := recover(); r != "bad clock" {
+			t.Fatalf("recovered %v, want \"bad clock\"", r)
+		}
+		if !cleaned {
+			t.Error("stream 0 deferred cleanup never ran")
+		}
+	}()
+	core.Run(streams)
+	t.Fatal("Run returned instead of panicking")
+}
+
 // TestGrantClocksNondecreasing pins the property shared devices rely
 // on: the clock of the granted core, read at grant time, never moves
 // backwards across the schedule.
